@@ -1,6 +1,7 @@
 //! Query-governor benchmark: (1) the end-to-end overhead of deadline +
-//! resource-ledger tracking on the TPC-H corpus — a governed run (bounds
-//! set far above any trip point) against the ungoverned pipeline — and
+//! resource-ledger tracking on the TPC-H corpus — a governed run (the
+//! gateway's default per-query memory budget, which every query must fit)
+//! against the ungoverned pipeline — and
 //! (2) cancel-to-kill latency: how long after `CancelToken::cancel` the
 //! executing statement actually dies at a checkpoint. Writes
 //! `BENCH_governor.json` at the repo root (override dir with `BENCH_OUT`).
@@ -11,9 +12,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hyperq_bench::harness::{load_tpch, scale_from_env};
-use hyperq_core::{Backend, HyperQBuilder, Request};
+use hyperq_core::{Backend, HyperQBuilder, HyperQError, Request};
 use hyperq_engine::EngineDb;
-use hyperq_governor::{CancelReason, QueryGovernor};
+use hyperq_governor::{CancelReason, GovernorConfig, QueryGovernor};
 use hyperq_workload::tpch;
 
 const REPEATS: usize = 7;
@@ -27,7 +28,7 @@ fn main() {
     let scale = scale_from_env();
     let db = load_tpch(scale, None);
 
-    // ---- overhead: governed (never-tripping bounds) vs ungoverned ----
+    // ---- overhead: governed (default budget) vs ungoverned ----
     // `run_one` installs no governor at all, so every checkpoint/charge
     // free-function call is a thread-local miss; the governed request pays
     // the full machinery: token loads, deadline arithmetic, ledger CAS.
@@ -50,7 +51,7 @@ fn main() {
             let t = std::time::Instant::now();
             hq.run(Request::script(sql)
                 .timeout(Duration::from_secs(3600))
-                .memory_budget(u64::MAX / 2))
+                .memory_budget(GovernorConfig::default().per_query_memory))
                 .expect("governed run");
             governed = governed.min(micros(t.elapsed()));
         }
@@ -92,15 +93,16 @@ fn main() {
             })
         };
         let scope = hyperq_governor::install(Arc::clone(&gov));
-        let result = hq.run_one("SEL A.N FROM K A, K B WHERE A.N >= 0 ORDER BY A.N");
+        let result = hq.run_one("SEL A.N AS V FROM K A, K B WHERE A.N >= 0 ORDER BY V");
+        // Snapshot before joining the killer: `cancel_latency` keeps growing.
+        let latency = gov.cancel_latency();
         drop(scope);
         killer.join().unwrap();
         match result {
-            Err(_) => {
-                // Snapshot immediately: `cancel_latency` keeps growing.
-                let lat = gov.cancel_latency().expect("cancelled run records latency");
-                latencies_us.push(micros(lat));
+            Err(HyperQError::Cancelled(_)) => {
+                latencies_us.push(micros(latency.expect("cancelled run records latency")));
             }
+            Err(e) => panic!("kill query failed for another reason: {e}"),
             Ok(_) => { /* statement beat the 2ms fuse — skip the sample */ }
         }
     }

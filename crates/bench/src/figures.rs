@@ -241,7 +241,8 @@ fn render_figure9(title: &str, stats: &WireStats, paper_note: &str) -> String {
 }
 
 /// Figure 9a: single sequential run of the 22 TPC-H queries through the
-/// full wire path (client → gateway → Hyper-Q → warehouse).
+/// full wire path (client → gateway → Hyper-Q → warehouse). Panics on the
+/// first failed statement.
 pub fn figure9a(scale: f64) -> String {
     let db = load_tpch(scale, None);
     let handle = Gateway::spawn(db as Arc<dyn Backend>, GatewayConfig::default())
@@ -262,7 +263,8 @@ pub fn figure9a(scale: f64) -> String {
 }
 
 /// Figure 9b: stress test — `sessions` concurrent clients replay TPC-H
-/// queries against a slot-limited warehouse for `duration`.
+/// queries against a slot-limited warehouse for `duration`. Panics if any
+/// statement failed.
 pub fn figure9b(scale: f64, sessions: usize, duration: Duration) -> String {
     // The provisioned cluster of §7.2/7.3 is modeled as a warehouse with a
     // bounded number of concurrent execution slots; queueing under
@@ -281,18 +283,28 @@ pub fn figure9b(scale: f64, sessions: usize, duration: Duration) -> String {
             // Rotate through the faster queries to maximize request count.
             let rotation = [1usize, 3, 4, 5, 6, 10, 12, 13, 14, 19];
             let mut i = s; // desynchronize sessions
+            let mut failures = Vec::new();
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let q = rotation[i % rotation.len()];
-                let _ = client.run(tpch::query(q));
+                if let Err(e) = client.run(tpch::query(q)) {
+                    failures.push(format!("Q{q}: {e}"));
+                }
                 i += 1;
             }
+            failures
         }));
     }
     std::thread::sleep(duration);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    for t in threads {
-        let _ = t.join();
-    }
+    let failures: Vec<String> = threads
+        .into_iter()
+        .flat_map(|t| t.join().expect("stress session panicked"))
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} stress-test statements failed: {failures:?}",
+        failures.len()
+    );
     let stats = handle.stats();
     handle.shutdown();
     render_figure9(

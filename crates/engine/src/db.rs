@@ -11,11 +11,11 @@ use hyperq_core::binder::Binder;
 use hyperq_parser::{parse_statements, Dialect};
 use hyperq_xtra::catalog::{ColumnDef, MetadataProvider, TableDef, ViewDef};
 use hyperq_xtra::datum::Datum;
-use hyperq_xtra::rel::Plan;
+use hyperq_xtra::rel::{Plan, RelExpr};
 use hyperq_xtra::Row;
 
 use crate::eval::{eval, eval_truth, EvalContext, EvalError};
-use crate::exec::execute_rel;
+use crate::exec::{execute_rel, StmtCtx};
 
 /// One stored table: definition plus copy-on-write contents.
 #[derive(Clone)]
@@ -221,16 +221,18 @@ impl EngineDb {
         self.execute_plan(&plan).map_err(BackendError::classify)
     }
 
+    /// Execute one bound statement. Each statement gets its own
+    /// [`StmtCtx`], so its subquery memo lives exactly as long as it does.
     fn execute_plan(&self, plan: &Plan) -> Result<ExecResult, EvalError> {
         match plan {
             Plan::Query(rel) => {
                 let optimized = crate::optimize::optimize(rel.clone());
-                let rows = execute_rel(&optimized, self, &[])?;
+                let rows = self.query_rows(&optimized)?;
                 Ok(ExecResult::rows(rel.schema(), rows))
             }
             Plan::Insert { table, columns, source } => {
                 let source = crate::optimize::optimize(source.clone());
-                let rows = execute_rel(&source, self, &[])?;
+                let rows = self.query_rows(&source)?;
                 let n = self.insert_rows(table, columns, rows)?;
                 Ok(ExecResult::affected(n))
             }
@@ -246,7 +248,7 @@ impl EngineDb {
                 match source {
                     Some(src) => {
                         let src = crate::optimize::optimize(src.clone());
-                        let rows = execute_rel(&src, self, &[])?;
+                        let rows = self.query_rows(&src)?;
                         let columns: Vec<String> =
                             def.columns.iter().map(|c| c.name.clone()).collect();
                         let n = self.insert_rows(&def.name, &columns, rows)?;
@@ -264,6 +266,23 @@ impl EngineDb {
                 // reach the target (Hyper-Q keeps them in the DTM catalog).
                 Err("views are not supported by this warehouse".to_string())
             }
+        }
+    }
+
+    /// Run an optimized relational plan to completion, handing its rows
+    /// out of the statement's ledger.
+    fn query_rows(&self, rel: &RelExpr) -> Result<Vec<Row>, EvalError> {
+        Ok(execute_rel(rel, &StmtCtx::new(self), &[])?.into_vec())
+    }
+
+    /// Bind and optimize an ANSI query without running it.
+    #[cfg(test)]
+    pub(crate) fn plan_query(&self, sql: &str) -> Result<RelExpr, String> {
+        let stmt = hyperq_parser::parse_one(sql, Dialect::Ansi).map_err(|e| e.to_string())?;
+        match Binder::new(&EngineCatalog(self)).bind_statement(&stmt.stmt) {
+            Ok(Plan::Query(rel)) => Ok(crate::optimize::optimize(rel)),
+            Ok(_) => Err("not a query".to_string()),
+            Err(e) => Err(e.to_string()),
         }
     }
 
@@ -308,8 +327,8 @@ impl EngineDb {
             for (i, col) in def.columns.iter().enumerate() {
                 if !positions.contains(&i) {
                     if let Some(d) = &col.default {
-                        let mut ctx = EvalContext::new(self);
-                        full[i] = eval(d, &mut ctx)?;
+                        let stmt = StmtCtx::new(self);
+                        full[i] = eval(d, &mut EvalContext::new(&stmt))?;
                     }
                 }
             }
@@ -338,6 +357,7 @@ impl EngineDb {
             (t.def.clone(), Arc::clone(&t.rows))
         };
         let schema = def.schema(alias);
+        let stmt = StmtCtx::new(self);
         let targets: Vec<usize> = assignments
             .iter()
             .map(|a| {
@@ -353,14 +373,14 @@ impl EngineDb {
             let matches = match predicate {
                 None => true,
                 Some(p) => {
-                    let mut ctx = EvalContext { db: self, scopes: vec![(&schema, row)] };
+                    let mut ctx = EvalContext { stmt: &stmt, scopes: vec![(&schema, row)] };
                     eval_truth(p, &mut ctx)? == Some(true)
                 }
             };
             if matches {
                 let mut new_row = row.clone();
                 for (a, &pos) in assignments.iter().zip(targets.iter()) {
-                    let mut ctx = EvalContext { db: self, scopes: vec![(&schema, row)] };
+                    let mut ctx = EvalContext { stmt: &stmt, scopes: vec![(&schema, row)] };
                     let v = eval(&a.value, &mut ctx)?;
                     new_row[pos] = coerce_value(&def.columns[pos], v)?;
                 }
@@ -391,13 +411,14 @@ impl EngineDb {
             (t.def.clone(), Arc::clone(&t.rows))
         };
         let schema = def.schema(alias);
+        let stmt = StmtCtx::new(self);
         let mut kept: Vec<Row> = Vec::with_capacity(snapshot.len());
         let mut deleted = 0u64;
         for row in snapshot.iter() {
             let matches = match predicate {
                 None => true,
                 Some(p) => {
-                    let mut ctx = EvalContext { db: self, scopes: vec![(&schema, row)] };
+                    let mut ctx = EvalContext { stmt: &stmt, scopes: vec![(&schema, row)] };
                     eval_truth(p, &mut ctx)? == Some(true)
                 }
             };

@@ -1,15 +1,18 @@
 //! Scalar expression evaluation with SQL three-valued logic.
 
+use std::rc::Rc;
+
 use hyperq_xtra::datum::{add_months, ymd_from_date, Datum, Decimal};
 use hyperq_xtra::expr::{
     AggFunc, ArithOp, BoolOp, CmpOp, DateField, Quantifier, ScalarExpr, ScalarFunc,
 };
+use hyperq_xtra::rel::RelExpr;
 use hyperq_xtra::schema::Schema;
 use hyperq_xtra::types::SqlType;
 use hyperq_xtra::Row;
 
-use crate::db::EngineDb;
-use crate::exec::execute_rel;
+use crate::exec::{execute_rel, Rows, StmtCtx};
+use crate::memo::Answer;
 
 /// Evaluation error.
 pub type EvalError = String;
@@ -17,15 +20,16 @@ pub type EvalResult = Result<Datum, EvalError>;
 
 /// A stack of (schema, row) scopes, innermost last: the evaluator resolves
 /// column references innermost-first, which is what makes correlated
-/// subqueries work.
-pub struct EvalContext<'a> {
-    pub db: &'a EngineDb,
+/// subqueries work. Expressions evaluated in a context live as long as the
+/// statement's plan `'p`, which keys the statement's subquery memo.
+pub struct EvalContext<'p, 'a> {
+    pub stmt: &'a StmtCtx<'p>,
     pub scopes: Vec<(&'a Schema, &'a Row)>,
 }
 
-impl<'a> EvalContext<'a> {
-    pub fn new(db: &'a EngineDb) -> Self {
-        EvalContext { db, scopes: Vec::new() }
+impl<'p, 'a> EvalContext<'p, 'a> {
+    pub fn new(stmt: &'a StmtCtx<'p>) -> Self {
+        EvalContext { stmt, scopes: Vec::new() }
     }
 
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> EvalResult {
@@ -42,7 +46,7 @@ impl<'a> EvalContext<'a> {
 }
 
 /// Evaluate an expression to a datum.
-pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
+pub fn eval<'p>(e: &'p ScalarExpr, ctx: &mut EvalContext<'p, '_>) -> EvalResult {
     match e {
         ScalarExpr::Column { qualifier, name, .. } => {
             ctx.resolve(qualifier.as_deref(), name)
@@ -163,25 +167,29 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
             "aggregate reference escaped the Aggregate operator (binder bug)".to_string(),
         ),
         ScalarExpr::ScalarSubquery(rel) => {
-            let rows = execute_subquery(rel, ctx)?;
-            match rows.len() {
-                0 => Ok(Datum::Null),
-                1 => Ok(rows[0][0].clone()),
+            match subquery(rel, ctx, |rows| match rows.len() {
+                0 => Ok(Answer::Scalar(Datum::Null)),
+                1 => Ok(Answer::Scalar(rows[0][0].clone())),
                 n => Err(format!("scalar subquery returned {n} rows")),
+            })? {
+                Answer::Scalar(d) => Ok(d),
+                _ => unreachable!("a scalar subquery memoizes a scalar"),
             }
         }
-        ScalarExpr::Exists { subquery, negated } => {
-            let rows = execute_subquery(subquery, ctx)?;
-            Ok(Datum::Bool(rows.is_empty() == *negated))
+        ScalarExpr::Exists { subquery: rel, negated } => {
+            match subquery(rel, ctx, |rows| Ok(Answer::Exists(!rows.is_empty())))? {
+                Answer::Exists(nonempty) => Ok(Datum::Bool(nonempty != *negated)),
+                _ => unreachable!("EXISTS memoizes a bool"),
+            }
         }
-        ScalarExpr::InSubquery { exprs, subquery, negated } => {
+        ScalarExpr::InSubquery { exprs, subquery: rel, negated } => {
             let left: Vec<Datum> = exprs
                 .iter()
                 .map(|e| eval(e, ctx))
                 .collect::<Result<_, _>>()?;
-            let rows = execute_subquery(subquery, ctx)?;
+            let rows = subquery_rows(rel, ctx)?;
             let mut saw_null = false;
-            for row in &rows {
+            for row in rows.iter() {
                 match rows_equal(&left, row) {
                     Some(true) => return Ok(Datum::Bool(!*negated)),
                     None => saw_null = true,
@@ -190,16 +198,16 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
             }
             Ok(if saw_null { Datum::Null } else { Datum::Bool(*negated) })
         }
-        ScalarExpr::QuantifiedCmp { left, op, quantifier, subquery } => {
+        ScalarExpr::QuantifiedCmp { left, op, quantifier, subquery: rel } => {
             let l: Vec<Datum> = left
                 .iter()
                 .map(|e| eval(e, ctx))
                 .collect::<Result<_, _>>()?;
-            let rows = execute_subquery(subquery, ctx)?;
+            let rows = subquery_rows(rel, ctx)?;
             let mut saw_null = false;
             match quantifier {
                 Quantifier::Any => {
-                    for row in &rows {
+                    for row in rows.iter() {
                         match rows_cmp(*op, &l, row) {
                             Some(true) => return Ok(Datum::Bool(true)),
                             None => saw_null = true,
@@ -209,7 +217,7 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
                     Ok(if saw_null { Datum::Null } else { Datum::Bool(false) })
                 }
                 Quantifier::All => {
-                    for row in &rows {
+                    for row in rows.iter() {
                         match rows_cmp(*op, &l, row) {
                             Some(false) => return Ok(Datum::Bool(false)),
                             None => saw_null = true,
@@ -223,12 +231,32 @@ pub fn eval(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> EvalResult {
     }
 }
 
-fn execute_subquery(rel: &hyperq_xtra::rel::RelExpr, ctx: &mut EvalContext<'_>) -> Result<Vec<Row>, EvalError> {
-    execute_rel(rel, ctx.db, &ctx.scopes)
+/// A subquery's answer under the current scopes, from the statement's memo
+/// or — the first time its key is seen — by running it and reducing its
+/// rows with `answer`.
+fn subquery<'p>(
+    rel: &'p RelExpr,
+    ctx: &EvalContext<'p, '_>,
+    answer: impl FnOnce(Rows) -> Result<Answer, EvalError>,
+) -> Result<Answer, EvalError> {
+    ctx.stmt
+        .memo
+        .get_or_run(rel, &ctx.scopes, || answer(execute_rel(rel, ctx.stmt, &ctx.scopes)?))
+}
+
+/// The row set of an `IN` or quantified-comparison subquery.
+fn subquery_rows<'p>(rel: &'p RelExpr, ctx: &EvalContext<'p, '_>) -> Result<Rc<Rows>, EvalError> {
+    match subquery(rel, ctx, |rows| Ok(Answer::Rows(Rc::new(rows))))? {
+        Answer::Rows(rows) => Ok(rows),
+        _ => unreachable!("IN and quantified comparisons memoize row sets"),
+    }
 }
 
 /// Evaluate a predicate to SQL truth: `Some(bool)` or `None` for UNKNOWN.
-pub fn eval_truth(e: &ScalarExpr, ctx: &mut EvalContext<'_>) -> Result<Option<bool>, EvalError> {
+pub fn eval_truth<'p>(
+    e: &'p ScalarExpr,
+    ctx: &mut EvalContext<'p, '_>,
+) -> Result<Option<bool>, EvalError> {
     match eval(e, ctx)? {
         Datum::Null => Ok(None),
         Datum::Bool(b) => Ok(Some(b)),
@@ -345,7 +373,11 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     rec(&s, &p)
 }
 
-fn eval_func(func: &ScalarFunc, args: &[ScalarExpr], ctx: &mut EvalContext<'_>) -> EvalResult {
+fn eval_func<'p>(
+    func: &ScalarFunc,
+    args: &'p [ScalarExpr],
+    ctx: &mut EvalContext<'p, '_>,
+) -> EvalResult {
     let vals: Vec<Datum> = args
         .iter()
         .map(|a| eval(a, ctx))

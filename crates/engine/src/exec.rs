@@ -2,42 +2,210 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
+use hyperq_governor::QueryGovernor;
 use hyperq_xtra::datum::Datum;
-use hyperq_xtra::expr::{CmpOp, ScalarExpr, SortExpr, WindowFuncKind};
+use hyperq_xtra::expr::{BoolOp, CmpOp, ScalarExpr, SortExpr, WindowFuncKind};
 use hyperq_xtra::rel::{Grouping, JoinKind, RelExpr, SetOpKind};
 use hyperq_xtra::schema::Schema;
 use hyperq_xtra::Row;
 
 use crate::db::EngineDb;
 use crate::eval::{eval, eval_truth, AggState, EvalContext, EvalError};
+use crate::memo::SubqueryMemo;
 
-type Scopes<'a> = [(&'a Schema, &'a Row)];
+pub type Scopes<'a> = [(&'a Schema, &'a Row)];
+
+/// What one statement's execution shares: the warehouse and the
+/// statement's subquery memo. Created per statement and dropped with it.
+pub struct StmtCtx<'p> {
+    pub db: &'p EngineDb,
+    pub memo: SubqueryMemo<'p>,
+}
+
+impl<'p> StmtCtx<'p> {
+    pub fn new(db: &'p EngineDb) -> Self {
+        StmtCtx { db, memo: SubqueryMemo::default() }
+    }
+}
 
 /// Rough heap footprint of one materialized row of `width` columns: the
 /// `Vec<Datum>` header plus a per-datum estimate. Deliberately coarse —
 /// the governor ledger wants an early, cheap bound, not an allocator.
-fn row_bytes(width: usize) -> u64 {
+pub fn row_bytes(width: usize) -> u64 {
     48 + 24 * width as u64
 }
 
-/// Charge an operator's materialized output to the statement's resource
-/// ledger (no-op without an installed governor). A denied charge cancels
-/// the statement, surfacing the budget error instead of an engine OOM.
-fn charge_rows(rows: &[Row]) -> Result<(), EvalError> {
-    if rows.is_empty() {
-        return Ok(());
-    }
-    let width = rows[0].len();
-    hyperq_governor::charge(rows.len() as u64 * row_bytes(width)).map_err(|c| c.to_string())
+/// Bytes charged to the running statement's ledger, returned when the
+/// charge is dropped, so the ledger tracks live bytes rather than bytes
+/// ever produced. Charges nothing when no governor is installed.
+#[derive(Default)]
+pub struct Charge {
+    gov: Option<Arc<QueryGovernor>>,
+    bytes: u64,
 }
 
-/// Incremental governor accounting inside a single operator's row loop:
-/// charges and checkpoints every `BATCH` produced rows, so a huge cross
-/// join is cancelled (or budget-killed) *mid-materialization* instead of
-/// after it has already allocated everything.
+impl Charge {
+    /// Charge `bytes` more. A denied charge cancels the statement,
+    /// surfacing the budget error instead of an engine OOM.
+    pub fn add(&mut self, bytes: u64) -> Result<(), EvalError> {
+        if self.gov.is_none() {
+            self.gov = hyperq_governor::current();
+        }
+        if let Some(gov) = &self.gov {
+            gov.charge(bytes).map_err(|c| c.to_string())?;
+            self.bytes += bytes;
+        }
+        Ok(())
+    }
+
+    /// The charge for materialized `rows`.
+    fn for_rows(rows: &[Row]) -> Result<Charge, EvalError> {
+        let mut charge = Charge::default();
+        if let Some(first) = rows.first() {
+            charge.add(rows.len() as u64 * row_bytes(first.len()))?;
+        }
+        Ok(charge)
+    }
+
+    /// Take over `other`'s bytes (both belong to the running statement).
+    fn absorb(&mut self, mut other: Charge) {
+        self.bytes += std::mem::take(&mut other.bytes);
+        if self.gov.is_none() {
+            self.gov = other.gov.take();
+        }
+    }
+}
+
+impl Drop for Charge {
+    fn drop(&mut self) {
+        if let Some(gov) = &self.gov {
+            gov.release(self.bytes);
+        }
+    }
+}
+
+/// An operator's output. A base-table scan shares the table's
+/// copy-on-write snapshot and is charged nothing; every other operator
+/// owns the rows it built together with their charge, which dropping the
+/// rows returns.
+pub enum Rows {
+    Shared(Arc<Vec<Row>>),
+    Owned(Vec<Row>, Charge),
+}
+
+impl Rows {
+    /// Rows an operator built, charged to the statement's ledger.
+    fn owned(rows: Vec<Row>) -> Result<Rows, EvalError> {
+        let charge = Charge::for_rows(&rows)?;
+        Ok(Rows::Owned(rows, charge))
+    }
+
+    /// The rows by value, handed out of the ledger: a shared snapshot is
+    /// cloned, owned rows move and their charge is returned.
+    pub fn into_vec(self) -> Vec<Row> {
+        match self {
+            Rows::Shared(rows) => Arc::unwrap_or_clone(rows),
+            Rows::Owned(rows, _) => rows,
+        }
+    }
+
+    /// The rows by value with their charge, for operators that reorder or
+    /// widen their input: a shared snapshot is cloned and charged.
+    fn into_owned(self) -> Result<(Vec<Row>, Charge), EvalError> {
+        match self {
+            Rows::Shared(rows) => {
+                let rows = Arc::unwrap_or_clone(rows);
+                let charge = Charge::for_rows(&rows)?;
+                Ok((rows, charge))
+            }
+            Rows::Owned(rows, charge) => Ok((rows, charge)),
+        }
+    }
+
+    /// The rows `keep` accepts, in order. Owned rows move; only the kept
+    /// rows of a shared snapshot are cloned.
+    fn filter(
+        self,
+        mut keep: impl FnMut(&Row) -> Result<bool, EvalError>,
+    ) -> Result<Rows, EvalError> {
+        let mut out = Vec::new();
+        match self {
+            Rows::Shared(rows) => {
+                for row in rows.iter() {
+                    if keep(row)? {
+                        out.push(row.clone());
+                    }
+                }
+            }
+            Rows::Owned(rows, _charge) => {
+                for row in rows {
+                    if keep(&row)? {
+                        out.push(row);
+                    }
+                }
+            }
+        }
+        Rows::owned(out)
+    }
+
+    /// One output row per input row, in order. Owned input rows are
+    /// dropped as they are consumed, so the allocator reuses their memory
+    /// for the output.
+    fn map(self, mut f: impl FnMut(&Row) -> Result<Row, EvalError>) -> Result<Rows, EvalError> {
+        let mut out = Vec::with_capacity(self.len());
+        match self {
+            Rows::Shared(rows) => {
+                for row in rows.iter() {
+                    out.push(f(row)?);
+                }
+            }
+            Rows::Owned(rows, _charge) => {
+                for row in rows {
+                    out.push(f(&row)?);
+                }
+            }
+        }
+        Rows::owned(out)
+    }
+
+    /// Rows `start..` up to `limit` of them.
+    fn slice(self, start: usize, limit: Option<usize>) -> Result<Rows, EvalError> {
+        let start = start.min(self.len());
+        let end = limit.map_or(self.len(), |n| self.len().min(start.saturating_add(n)));
+        let out = match self {
+            Rows::Shared(rows) => rows[start..end].to_vec(),
+            Rows::Owned(mut rows, _charge) => {
+                rows.truncate(end);
+                rows.drain(..start);
+                rows
+            }
+        };
+        Rows::owned(out)
+    }
+}
+
+impl std::ops::Deref for Rows {
+    type Target = [Row];
+
+    fn deref(&self) -> &[Row] {
+        match self {
+            Rows::Shared(rows) => rows,
+            Rows::Owned(rows, _) => rows,
+        }
+    }
+}
+
+/// Incremental accounting inside a single operator's row loop: charges
+/// produced rows and checkpoints every `BATCH` steps, so a huge cross join
+/// is cancelled (or budget-killed) *mid-materialization* instead of after
+/// it has already allocated everything. The accumulated charge becomes
+/// the operator's output charge.
 struct ChargeTicker {
+    charge: Charge,
     pending: u64,
+    steps: u64,
     row_bytes: u64,
 }
 
@@ -45,12 +213,14 @@ impl ChargeTicker {
     const BATCH: u64 = 1024;
 
     fn new(width: usize) -> ChargeTicker {
-        ChargeTicker { pending: 0, row_bytes: row_bytes(width) }
+        ChargeTicker { charge: Charge::default(), pending: 0, steps: 0, row_bytes: row_bytes(width) }
     }
 
-    fn produced(&mut self) -> Result<(), EvalError> {
-        self.pending += 1;
-        if self.pending >= Self::BATCH {
+    /// One step of the loop that produced `rows` output rows.
+    fn step(&mut self, rows: u64) -> Result<(), EvalError> {
+        self.pending += rows;
+        self.steps += 1;
+        if self.steps.is_multiple_of(Self::BATCH) {
             self.flush()?;
         }
         Ok(())
@@ -58,76 +228,68 @@ impl ChargeTicker {
 
     fn flush(&mut self) -> Result<(), EvalError> {
         if self.pending > 0 {
-            hyperq_governor::charge(self.pending * self.row_bytes)
-                .map_err(|c| c.to_string())?;
+            self.charge.add(self.pending * self.row_bytes)?;
             self.pending = 0;
         }
         hyperq_governor::checkpoint().map_err(|c| c.to_string())
+    }
+
+    /// The operator's output, carrying everything the ticker charged.
+    fn finish(mut self, rows: Vec<Row>) -> Result<Rows, EvalError> {
+        self.flush()?;
+        Ok(Rows::Owned(rows, self.charge))
     }
 }
 
 /// Execute a relational tree, with `outer` scopes available for correlated
 /// column references.
-pub fn execute_rel(
-    rel: &RelExpr,
-    db: &EngineDb,
+pub fn execute_rel<'p>(
+    rel: &'p RelExpr,
+    stmt: &StmtCtx<'p>,
     outer: &Scopes<'_>,
-) -> Result<Vec<Row>, EvalError> {
+) -> Result<Rows, EvalError> {
     // Cooperative cancellation at every operator boundary; joins and
     // aggregates additionally tick inside their row loops.
     hyperq_governor::checkpoint().map_err(|c| c.to_string())?;
-    let out = match rel {
-        RelExpr::Get { table, .. } => {
-            let data = db.scan(table)?;
-            Ok(data.iter().cloned().collect())
-        }
+    match rel {
+        RelExpr::Get { table, .. } => Ok(Rows::Shared(stmt.db.scan(table)?)),
         RelExpr::Values { rows, .. } => {
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
-                let mut ctx = EvalContext { db, scopes: outer.to_vec() };
+                let mut ctx = EvalContext { stmt, scopes: outer.to_vec() };
                 let mut vals = Vec::with_capacity(row.len());
                 for e in row {
                     vals.push(eval(e, &mut ctx)?);
                 }
                 out.push(vals);
             }
-            Ok(out)
+            Rows::owned(out)
         }
         RelExpr::Select { input, predicate } => {
             let schema = input.schema();
-            let rows = execute_rel(input, db, outer)?;
-            let mut out = Vec::new();
-            for row in rows {
+            execute_rel(input, stmt, outer)?.filter(|row| {
                 let mut scopes = outer.to_vec();
-                scopes.push((&schema, &row));
-                let mut ctx = EvalContext { db, scopes };
-                if eval_truth(predicate, &mut ctx)? == Some(true) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
+                scopes.push((&schema, row));
+                let mut ctx = EvalContext { stmt, scopes };
+                Ok(eval_truth(predicate, &mut ctx)? == Some(true))
+            })
         }
         RelExpr::Project { input, exprs } => {
             let schema = input.schema();
-            let rows = execute_rel(input, db, outer)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
+            execute_rel(input, stmt, outer)?.map(|row| {
                 let mut scopes = outer.to_vec();
-                scopes.push((&schema, &row));
-                let mut ctx = EvalContext { db, scopes };
+                scopes.push((&schema, row));
+                let mut ctx = EvalContext { stmt, scopes };
                 let mut projected = Vec::with_capacity(exprs.len());
                 for (e, _) in exprs {
                     projected.push(eval(e, &mut ctx)?);
                 }
-                out.push(projected);
-            }
-            Ok(out)
+                Ok(projected)
+            })
         }
-        RelExpr::Window { input, exprs } => {
-            execute_window(input, exprs, db, outer)
-        }
+        RelExpr::Window { input, exprs } => execute_window(input, exprs, stmt, outer),
         RelExpr::Join { kind, left, right, condition } => {
-            execute_join(*kind, left, right, condition.as_ref(), db, outer)
+            execute_join(*kind, left, right, condition.as_ref(), stmt, outer)
         }
         RelExpr::Aggregate { input, group_by, grouping, aggs } => {
             if matches!(grouping, Grouping::Sets(_)) {
@@ -135,60 +297,51 @@ pub fn execute_rel(
                 // expansion rule must fire before SQL reaches the engine.
                 return Err("GROUPING SETS are not supported by this warehouse".to_string());
             }
-            execute_aggregate(input, group_by, aggs, db, outer)
+            execute_aggregate(input, group_by, aggs, stmt, outer)
         }
         RelExpr::Distinct { input } => {
-            let rows = execute_rel(input, db, outer)?;
-            let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
-            Ok(rows.into_iter().filter(|r| seen.insert(r.clone())).collect())
+            let rows = execute_rel(input, stmt, outer)?;
+            let mut seen: HashSet<&Row> = HashSet::with_capacity(rows.len());
+            Rows::owned(rows.iter().filter(|r| seen.insert(r)).cloned().collect())
         }
         RelExpr::Sort { input, keys } => {
             let schema = input.schema();
-            let rows = execute_rel(input, db, outer)?;
-            sort_rows(rows, &schema, keys, db, outer)
+            let (rows, charge) = execute_rel(input, stmt, outer)?.into_owned()?;
+            Ok(Rows::Owned(sort_rows(rows, &schema, keys, stmt, outer)?, charge))
         }
         RelExpr::Limit { input, limit, offset, with_ties } => {
             if *with_ties {
                 return Err("FETCH ... WITH TIES is not supported by this warehouse".to_string());
             }
-            let mut rows = execute_rel(input, db, outer)?;
-            let start = (*offset as usize).min(rows.len());
-            rows.drain(..start);
-            if let Some(n) = limit {
-                rows.truncate(*n as usize);
-            }
-            Ok(rows)
+            execute_rel(input, stmt, outer)?.slice(*offset as usize, limit.map(|n| n as usize))
         }
         RelExpr::SetOp { kind, all, left, right } => {
-            let l = execute_rel(left, db, outer)?;
-            let r = execute_rel(right, db, outer)?;
-            Ok(execute_setop(*kind, *all, l, r))
+            // The output rows are moved out of the inputs, so the inputs'
+            // charge carries over (an upper bound once duplicates drop).
+            let (l, mut charge) = execute_rel(left, stmt, outer)?.into_owned()?;
+            let (r, right_charge) = execute_rel(right, stmt, outer)?.into_owned()?;
+            charge.absorb(right_charge);
+            Ok(Rows::Owned(execute_setop(*kind, *all, l, r), charge))
         }
-        RelExpr::Alias { input, .. } => execute_rel(input, db, outer),
-    }?;
-    // Joins charge incrementally while producing (see ChargeTicker);
-    // every other operator charges its materialized output here, once.
-    if !matches!(rel, RelExpr::Join { .. }) {
-        charge_rows(&out)?;
+        RelExpr::Alias { input, .. } => execute_rel(input, stmt, outer),
     }
-    Ok(out)
 }
 
 /// Sort rows by the given keys. NULL placement defaults to "NULLs high"
 /// (last ascending, first descending) — deliberately *different* from
 /// Teradata, so the explicit-NULL-ordering rewrite is observable.
-pub fn sort_rows(
+fn sort_rows<'p>(
     rows: Vec<Row>,
     schema: &Schema,
-    keys: &[SortExpr],
-    db: &EngineDb,
+    keys: &'p [SortExpr],
+    stmt: &StmtCtx<'p>,
     outer: &Scopes<'_>,
 ) -> Result<Vec<Row>, EvalError> {
     let mut keyed: Vec<(Vec<Datum>, Row)> = Vec::with_capacity(rows.len());
     for row in rows {
         let mut scopes = outer.to_vec();
         scopes.push((schema, &row));
-        let mut ctx = EvalContext { db, scopes };
+        let mut ctx = EvalContext { stmt, scopes };
         let mut kv = Vec::with_capacity(keys.len());
         for k in keys {
             kv.push(eval(&k.expr, &mut ctx)?);
@@ -200,7 +353,7 @@ pub fn sort_rows(
 }
 
 /// Compare two pre-computed key vectors.
-pub fn compare_key_rows(a: &[Datum], b: &[Datum], keys: &[SortExpr]) -> Ordering {
+fn compare_key_rows(a: &[Datum], b: &[Datum], keys: &[SortExpr]) -> Ordering {
     for (i, k) in keys.iter().enumerate() {
         let nulls_first = k.nulls_first.unwrap_or(k.desc);
         let ord = match (a[i].is_null(), b[i].is_null()) {
@@ -239,15 +392,17 @@ pub fn compare_key_rows(a: &[Datum], b: &[Datum], keys: &[SortExpr]) -> Ordering
 // Window functions
 // ---------------------------------------------------------------------------
 
-fn execute_window(
-    input: &RelExpr,
-    exprs: &[hyperq_xtra::expr::WindowExpr],
-    db: &EngineDb,
+fn execute_window<'p>(
+    input: &'p RelExpr,
+    exprs: &'p [hyperq_xtra::expr::WindowExpr],
+    stmt: &StmtCtx<'p>,
     outer: &Scopes<'_>,
-) -> Result<Vec<Row>, EvalError> {
+) -> Result<Rows, EvalError> {
     let schema = input.schema();
-    let rows = execute_rel(input, db, outer)?;
+    let (rows, mut charge) = execute_rel(input, stmt, outer)?.into_owned()?;
     let n = rows.len();
+    // Each row widens by one datum per window function.
+    charge.add(n as u64 * (row_bytes(exprs.len()) - row_bytes(0)))?;
     // Each window function appends one column; computed independently.
     let mut appended: Vec<Vec<Datum>> = vec![Vec::with_capacity(exprs.len()); n];
 
@@ -259,7 +414,7 @@ fn execute_window(
         for row in &rows {
             let mut scopes = outer.to_vec();
             scopes.push((&schema, row));
-            let mut ctx = EvalContext { db, scopes };
+            let mut ctx = EvalContext { stmt, scopes };
             let mut pk = Vec::with_capacity(w.partition_by.len());
             for p in &w.partition_by {
                 pk.push(eval(p, &mut ctx)?);
@@ -378,29 +533,30 @@ fn execute_window(
         }
     }
 
-    Ok(rows
+    let out = rows
         .into_iter()
         .zip(appended)
         .map(|(mut row, extra)| {
             row.extend(extra);
             row
         })
-        .collect())
+        .collect();
+    Ok(Rows::Owned(out, charge))
 }
 
 // ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
 
-fn execute_aggregate(
-    input: &RelExpr,
-    group_by: &[(ScalarExpr, String)],
-    aggs: &[(ScalarExpr, String)],
-    db: &EngineDb,
+fn execute_aggregate<'p>(
+    input: &'p RelExpr,
+    group_by: &'p [(ScalarExpr, String)],
+    aggs: &'p [(ScalarExpr, String)],
+    stmt: &StmtCtx<'p>,
     outer: &Scopes<'_>,
-) -> Result<Vec<Row>, EvalError> {
+) -> Result<Rows, EvalError> {
     let schema = input.schema();
-    let rows = execute_rel(input, db, outer)?;
+    let rows = execute_rel(input, stmt, outer)?;
 
     struct AggSpec<'e> {
         func: hyperq_xtra::expr::AggFunc,
@@ -425,25 +581,24 @@ fn execute_aggregate(
     let mut groups: HashMap<Vec<Datum>, Vec<AggState>> = HashMap::new();
     let mut order: Vec<Vec<Datum>> = Vec::new();
     // Each distinct group holds a key vector plus aggregate states; the
-    // ticker charges that hash-table growth and checkpoints the loop.
+    // ticker charges that hash-table growth (the output rows, one per
+    // group) and checkpoints the loop.
     let mut ticker = ChargeTicker::new(group_by.len() + aggs.len());
-    let mut rows_seen = 0u64;
-    for row in &rows {
-        rows_seen += 1;
-        if rows_seen.is_multiple_of(ChargeTicker::BATCH) {
-            hyperq_governor::checkpoint().map_err(|c| c.to_string())?;
-        }
+    for row in rows.iter() {
         let mut scopes = outer.to_vec();
         scopes.push((&schema, row));
-        let mut ctx = EvalContext { db, scopes };
+        let mut ctx = EvalContext { stmt, scopes };
         let mut key = Vec::with_capacity(group_by.len());
         for (g, _) in group_by {
             key.push(eval(g, &mut ctx)?);
         }
         let states = match groups.get_mut(&key) {
-            Some(s) => s,
+            Some(s) => {
+                ticker.step(0)?;
+                s
+            }
             None => {
-                ticker.produced()?;
+                ticker.step(1)?;
                 order.push(key.clone());
                 groups.entry(key.clone()).or_insert_with(|| {
                     specs
@@ -458,7 +613,7 @@ fn execute_aggregate(
                 Some(a) => {
                     let mut scopes = outer.to_vec();
                     scopes.push((&schema, row));
-                    let mut actx = EvalContext { db, scopes };
+                    let mut actx = EvalContext { stmt, scopes };
                     let v = eval(a, &mut actx)?;
                     state.update(Some(&v))?;
                 }
@@ -466,7 +621,6 @@ fn execute_aggregate(
             }
         }
     }
-    ticker.flush()?;
 
     // Global aggregate over empty input still produces one row.
     if groups.is_empty() && group_by.is_empty() {
@@ -478,7 +632,7 @@ fn execute_aggregate(
         for s in states {
             row.push(s.finish()?);
         }
-        return Ok(vec![row]);
+        return Rows::owned(vec![row]);
     }
 
     let mut out = Vec::with_capacity(order.len());
@@ -490,44 +644,46 @@ fn execute_aggregate(
         }
         out.push(row);
     }
-    Ok(out)
+    ticker.finish(out)
 }
 
 // ---------------------------------------------------------------------------
 // Joins
 // ---------------------------------------------------------------------------
 
-fn execute_join(
+fn execute_join<'p>(
     kind: JoinKind,
-    left: &RelExpr,
-    right: &RelExpr,
-    condition: Option<&ScalarExpr>,
-    db: &EngineDb,
+    left: &'p RelExpr,
+    right: &'p RelExpr,
+    condition: Option<&'p ScalarExpr>,
+    stmt: &StmtCtx<'p>,
     outer: &Scopes<'_>,
-) -> Result<Vec<Row>, EvalError> {
+) -> Result<Rows, EvalError> {
     let lschema = left.schema();
     let rschema = right.schema();
     // Residual predicates always see the concatenated row, regardless of
     // the join's output schema (semi/anti joins output only the left side).
     let combined_schema = lschema.join(&rschema);
-    let lrows = execute_rel(left, db, outer)?;
-    let rrows = execute_rel(right, db, outer)?;
+    let lrows = execute_rel(left, stmt, outer)?;
+    let rrows = execute_rel(right, stmt, outer)?;
     let lwidth = lschema.len();
     let rwidth = rschema.len();
 
-    // Try to extract hash keys from the condition.
+    // Hash keys and residual conjuncts, borrowed from the plan rather than
+    // copied, so the residual's subqueries keep their identity in the
+    // statement's memo.
     let (lkeys, rkeys, residual) = match condition {
         Some(c) if kind != JoinKind::Cross => split_equi_condition(c, &lschema, &rschema),
-        _ => (Vec::new(), Vec::new(), condition.cloned()),
+        _ => (Vec::new(), Vec::new(), condition.into_iter().collect()),
     };
 
-    let eval_keys = |exprs: &[ScalarExpr],
+    let eval_keys = |exprs: &[&'p ScalarExpr],
                      schema: &Schema,
                      row: &Row|
      -> Result<Option<Vec<Datum>>, EvalError> {
         let mut scopes = outer.to_vec();
         scopes.push((schema, row));
-        let mut ctx = EvalContext { db, scopes };
+        let mut ctx = EvalContext { stmt, scopes };
         let mut key = Vec::with_capacity(exprs.len());
         for e in exprs {
             let v = eval(e, &mut ctx)?;
@@ -539,17 +695,44 @@ fn execute_join(
         Ok(Some(key))
     };
 
+    // The residual is the AND of its conjuncts under three-valued logic;
+    // a pair joins only when it is TRUE.
     let residual_ok = |combined: &Row| -> Result<bool, EvalError> {
-        match &residual {
-            None => Ok(true),
-            Some(p) => {
-                let mut scopes = outer.to_vec();
-                scopes.push((&combined_schema, combined));
-                let mut ctx = EvalContext { db, scopes };
-                Ok(eval_truth(p, &mut ctx)? == Some(true))
+        if residual.is_empty() {
+            return Ok(true);
+        }
+        let mut scopes = outer.to_vec();
+        scopes.push((&combined_schema, combined));
+        let mut ctx = EvalContext { stmt, scopes };
+        let mut unknown = false;
+        for p in &residual {
+            match eval_truth(p, &mut ctx)? {
+                Some(false) => return Ok(false),
+                None => unknown = true,
+                Some(true) => {}
             }
         }
+        Ok(!unknown)
     };
+
+    // Hash join (built on the right) when the condition has equi keys,
+    // nested loop over every right row otherwise. The build side holds
+    // one key vector per right row for the join's duration.
+    let mut build_charge = Charge::default();
+    let table: Option<HashMap<Vec<Datum>, Vec<usize>>> = if lkeys.is_empty() {
+        None
+    } else {
+        let mut table: HashMap<Vec<Datum>, Vec<usize>> = HashMap::new();
+        for (i, row) in rrows.iter().enumerate() {
+            if let Some(key) = eval_keys(&rkeys, &rschema, row)? {
+                table.entry(key).or_default().push(i);
+            }
+        }
+        build_charge.add(rrows.len() as u64 * row_bytes(rkeys.len()))?;
+        Some(table)
+    };
+    let every_right: Vec<usize> =
+        if table.is_none() { (0..rrows.len()).collect() } else { Vec::new() };
 
     let mut out: Vec<Row> = Vec::new();
     let mut right_matched = vec![false; rrows.len()];
@@ -560,84 +743,45 @@ fn execute_join(
     let out_width = if semi_anti { lwidth } else { lwidth + rwidth };
     let mut ticker = ChargeTicker::new(out_width);
 
-    if !lkeys.is_empty() {
-        // Hash join: build on the right.
-        let mut table: HashMap<Vec<Datum>, Vec<usize>> = HashMap::new();
-        for (i, row) in rrows.iter().enumerate() {
-            if let Some(key) = eval_keys(&rkeys, &rschema, row)? {
-                table.entry(key).or_default().push(i);
+    for lrow in lrows.iter() {
+        let candidates: &[usize] = match &table {
+            None => &every_right,
+            Some(table) => match eval_keys(&lkeys, &lschema, lrow)? {
+                Some(key) => table.get(&key).map_or(&[], Vec::as_slice),
+                None => &[],
+            },
+        };
+        let mut matched = false;
+        for &ri in candidates {
+            if semi_anti && residual.is_empty() {
+                matched = true;
+                break;
+            }
+            let mut combined = lrow.clone();
+            combined.extend(rrows[ri].iter().cloned());
+            if residual_ok(&combined)? {
+                matched = true;
+                right_matched[ri] = true;
+                if semi_anti {
+                    break;
+                }
+                out.push(combined);
+                ticker.step(1)?;
             }
         }
-        // The build side holds one key vector per right row on top of the
-        // already-charged input; account for it up front.
-        hyperq_governor::charge(rrows.len() as u64 * row_bytes(rkeys.len()))
-            .map_err(|c| c.to_string())?;
-        for lrow in &lrows {
-            let mut matched = false;
-            if let Some(key) = eval_keys(&lkeys, &lschema, lrow)? {
-                if let Some(candidates) = table.get(&key) {
-                    for &ri in candidates {
-                        let mut combined = lrow.clone();
-                        combined.extend(rrows[ri].iter().cloned());
-                        if residual_ok(&combined)? {
-                            matched = true;
-                            right_matched[ri] = true;
-                            if !semi_anti {
-                                out.push(combined);
-                                ticker.produced()?;
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                }
+        // Semi/anti output, or an unmatched row of an outer join.
+        let left_only = match kind {
+            JoinKind::Semi if matched => Some(lrow.clone()),
+            JoinKind::Anti if !matched => Some(lrow.clone()),
+            JoinKind::Left | JoinKind::Full if !matched => {
+                let mut padded = lrow.clone();
+                padded.extend(std::iter::repeat_n(Datum::Null, rwidth));
+                Some(padded)
             }
-            match kind {
-                JoinKind::Semi if matched => out.push(lrow.clone()),
-                JoinKind::Anti if !matched => out.push(lrow.clone()),
-                JoinKind::Left | JoinKind::Full if !matched => {
-                    let mut padded = lrow.clone();
-                    padded.extend(std::iter::repeat_n(Datum::Null, rwidth));
-                    out.push(padded);
-                }
-                _ => {}
-            }
-            ticker.produced()?;
-        }
-    } else {
-        // Nested-loop join.
-        for lrow in &lrows {
-            let mut matched = false;
-            for (ri, rrow) in rrows.iter().enumerate() {
-                let mut combined = lrow.clone();
-                combined.extend(rrow.iter().cloned());
-                let ok = match (&residual, kind) {
-                    (None, _) => true,
-                    (Some(_), _) => residual_ok(&combined)?,
-                };
-                if ok {
-                    matched = true;
-                    right_matched[ri] = true;
-                    if !semi_anti {
-                        out.push(combined);
-                        ticker.produced()?;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            match kind {
-                JoinKind::Semi if matched => out.push(lrow.clone()),
-                JoinKind::Anti if !matched => out.push(lrow.clone()),
-                JoinKind::Left | JoinKind::Full if !matched => {
-                    let mut padded = lrow.clone();
-                    padded.extend(std::iter::repeat_n(Datum::Null, rwidth));
-                    out.push(padded);
-                }
-                _ => {}
-            }
-            ticker.produced()?;
-        }
+            _ => None,
+        };
+        ticker.step(u64::from(left_only.is_some()))?;
+        out.extend(left_only);
     }
 
     if matches!(kind, JoinKind::Right | JoinKind::Full) {
@@ -646,60 +790,51 @@ fn execute_join(
                 let mut padded: Row = std::iter::repeat_n(Datum::Null, lwidth).collect();
                 padded.extend(rrows[ri].iter().cloned());
                 out.push(padded);
-                ticker.produced()?;
+                ticker.step(1)?;
             }
         }
     }
-    ticker.flush()?;
-    Ok(out)
+    ticker.finish(out)
 }
 
-/// Split an AND-tree into hash-joinable equi-pairs plus a residual.
-fn split_equi_condition(
-    c: &ScalarExpr,
+/// Split an AND-tree into hash-joinable equi-pairs plus residual
+/// conjuncts, all borrowed from `c`.
+fn split_equi_condition<'p>(
+    c: &'p ScalarExpr,
     lschema: &Schema,
     rschema: &Schema,
-) -> (Vec<ScalarExpr>, Vec<ScalarExpr>, Option<ScalarExpr>) {
-    let mut conjuncts: Vec<ScalarExpr> = Vec::new();
+) -> (Vec<&'p ScalarExpr>, Vec<&'p ScalarExpr>, Vec<&'p ScalarExpr>) {
+    let mut conjuncts = Vec::new();
     flatten_and(c, &mut conjuncts);
     let mut lkeys = Vec::new();
     let mut rkeys = Vec::new();
     let mut residual = Vec::new();
     for conj in conjuncts {
-        if let ScalarExpr::Cmp { op: CmpOp::Eq, left, right } = &conj {
-            let l_in_l = resolves_in(left, lschema);
-            let r_in_r = resolves_in(right, rschema);
-            if l_in_l && r_in_r {
-                lkeys.push((**left).clone());
-                rkeys.push((**right).clone());
+        if let ScalarExpr::Cmp { op: CmpOp::Eq, left, right } = conj {
+            if resolves_in(left, lschema) && resolves_in(right, rschema) {
+                lkeys.push(&**left);
+                rkeys.push(&**right);
                 continue;
             }
-            let l_in_r = resolves_in(left, rschema);
-            let r_in_l = resolves_in(right, lschema);
-            if l_in_r && r_in_l {
-                lkeys.push((**right).clone());
-                rkeys.push((**left).clone());
+            if resolves_in(left, rschema) && resolves_in(right, lschema) {
+                lkeys.push(&**right);
+                rkeys.push(&**left);
                 continue;
             }
         }
         residual.push(conj);
     }
-    let residual = if residual.is_empty() {
-        None
-    } else {
-        Some(ScalarExpr::and(residual))
-    };
     (lkeys, rkeys, residual)
 }
 
-fn flatten_and(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
+fn flatten_and<'p>(e: &'p ScalarExpr, out: &mut Vec<&'p ScalarExpr>) {
     match e {
-        ScalarExpr::BoolExpr { op: hyperq_xtra::expr::BoolOp::And, args } => {
+        ScalarExpr::BoolExpr { op: BoolOp::And, args } => {
             for a in args {
                 flatten_and(a, out);
             }
         }
-        other => out.push(other.clone()),
+        other => out.push(other),
     }
 }
 

@@ -15,19 +15,22 @@
 //!   no grouping sets — requests using them are rejected, which is what
 //!   forces Hyper-Q's rewrites and emulations to actually run;
 //! * execution is correct rather than clever: hash joins and hash
-//!   aggregation where possible, nested loops otherwise, naive (re-executed)
-//!   correlated subqueries.
+//!   aggregation where possible, nested loops otherwise, and subqueries
+//!   answered from a per-statement memo — once per distinct value of their
+//!   outer columns, once in total when uncorrelated.
 //!
 //! Concurrency: the catalog is guarded by an `RwLock` and table contents
 //! are copy-on-write (`Arc<Vec<Row>>`), so concurrent analytical readers —
 //! the paper's stress-test scenario (§7.3) — proceed without blocking each
-//! other.
+//! other. Scans read that snapshot in place; operators copy only the rows
+//! they output.
 
 #![forbid(unsafe_code)]
 
 mod db;
 mod eval;
 mod exec;
+mod memo;
 mod optimize;
 
 pub use db::EngineDb;

@@ -8,6 +8,7 @@
 //! filtered by `WHERE`.
 
 use hyperq_xtra::expr::{BoolOp, ScalarExpr};
+use hyperq_xtra::free_columns;
 use hyperq_xtra::rel::{JoinKind, RelExpr};
 use hyperq_xtra::schema::Schema;
 
@@ -154,9 +155,9 @@ fn exists_plan(
         _ => return None,
     };
     // The inner source must be self-contained: no nested subqueries and
-    // every column resolvable against its own schema (otherwise the hash
-    // build would capture correlation).
-    if has_subquery_rel(&inner) || !rel_self_contained(&inner) {
+    // no free (outer) columns, otherwise the hash build would capture
+    // correlation. "Free" is the same analysis the subquery memo keys on.
+    if has_subquery_rel(&inner) || !free_columns(&inner).is_empty() {
         return None;
     }
     let inner_schema = inner.schema();
@@ -218,7 +219,7 @@ fn in_subquery_decorrelatable(
     negated: bool,
     outer: &Schema,
 ) -> bool {
-    if has_subquery_rel(subquery) || !rel_self_contained(subquery) {
+    if has_subquery_rel(subquery) || !free_columns(subquery).is_empty() {
         return false;
     }
     if !exprs.iter().all(|e| refs_resolve_in(e, outer)) {
@@ -259,89 +260,6 @@ fn has_subquery_rel(rel: &RelExpr) -> bool {
         &mut |_| {},
     );
     found
-}
-
-/// Every operator's expressions resolve against that operator's own
-/// input schema(s): the relation carries no correlated (outer) references
-/// and can safely serve as the build side of a hash semi/anti join.
-fn rel_self_contained(rel: &RelExpr) -> bool {
-    match rel {
-        RelExpr::Get { .. } => true,
-        RelExpr::Values { rows, .. } => rows
-            .iter()
-            .flatten()
-            .all(|e| refs_resolve_in_or_no_columns(e, &Schema::empty())),
-        RelExpr::Select { input, predicate } => {
-            rel_self_contained(input)
-                && refs_resolve_in_or_no_columns(predicate, &input.schema())
-        }
-        RelExpr::Project { input, exprs } => {
-            let schema = input.schema();
-            rel_self_contained(input)
-                && exprs.iter().all(|(e, _)| refs_resolve_in_or_no_columns(e, &schema))
-        }
-        RelExpr::Window { input, exprs } => {
-            let schema = input.schema();
-            rel_self_contained(input)
-                && exprs.iter().all(|w| {
-                    w.arg
-                        .as_ref()
-                        .is_none_or(|a| refs_resolve_in_or_no_columns(a, &schema))
-                        && w.partition_by
-                            .iter()
-                            .all(|p| refs_resolve_in_or_no_columns(p, &schema))
-                        && w.order_by
-                            .iter()
-                            .all(|k| refs_resolve_in_or_no_columns(&k.expr, &schema))
-                })
-        }
-        RelExpr::Join { left, right, condition, .. } => {
-            let combined = left.schema().join(&right.schema());
-            rel_self_contained(left)
-                && rel_self_contained(right)
-                && condition
-                    .as_ref()
-                    .is_none_or(|c| refs_resolve_in_or_no_columns(c, &combined))
-        }
-        RelExpr::Aggregate { input, group_by, aggs, .. } => {
-            let schema = input.schema();
-            rel_self_contained(input)
-                && group_by
-                    .iter()
-                    .chain(aggs.iter())
-                    .all(|(e, _)| refs_resolve_in_or_no_columns(e, &schema))
-        }
-        RelExpr::Sort { input, keys } => {
-            let schema = input.schema();
-            rel_self_contained(input)
-                && keys
-                    .iter()
-                    .all(|k| refs_resolve_in_or_no_columns(&k.expr, &schema))
-        }
-        RelExpr::Distinct { input }
-        | RelExpr::Limit { input, .. }
-        | RelExpr::Alias { input, .. } => rel_self_contained(input),
-        RelExpr::SetOp { left, right, .. } => {
-            rel_self_contained(left) && rel_self_contained(right)
-        }
-    }
-}
-
-/// Every column in `e` resolves in `schema` (expressions without columns
-/// trivially pass); subqueries have already been excluded by the caller.
-fn refs_resolve_in_or_no_columns(e: &ScalarExpr, schema: &Schema) -> bool {
-    let mut ok = true;
-    e.visit(
-        &mut |x| {
-            if let ScalarExpr::Column { qualifier, name, .. } = x {
-                if !matches!(schema.try_resolve(qualifier.as_deref(), name), Ok(Some(_))) {
-                    ok = false;
-                }
-            }
-        },
-        &mut |_| {},
-    );
-    ok
 }
 
 /// Like [`refs_resolve_in`] but tolerant of subqueries (not used for hash

@@ -322,11 +322,12 @@ impl MemoryPool {
     }
 }
 
-/// Per-query memory accounting, charged at allocation hot spots. The
-/// ledger is *high-water*: charges accumulate over the statement and are
-/// released wholesale when it finishes, which is deliberately
-/// conservative — a budget that trips early beats an OOM that never
-/// reports. `budget = 0` means unlimited.
+/// Per-query memory accounting of *live* bytes, charged at allocation hot
+/// spots. Callers pair each charge with a [`release`](Self::release) when
+/// the memory is freed (the engine ties each operator's charge to its
+/// output rows), so `charged()` is what is live now and `peak()` the
+/// statement's high-water mark. Anything still charged when the statement
+/// finishes is released wholesale. `budget = 0` means unlimited.
 #[derive(Debug)]
 pub struct ResourceLedger {
     budget: u64,

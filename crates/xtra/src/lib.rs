@@ -49,8 +49,8 @@ pub use rel::{Assignment, Grouping, JoinKind, Plan, RelExpr, SetOpKind};
 pub use schema::{Field, Schema};
 pub use types::SqlType;
 pub use validate::{
-    plan_output_schema, validate_plan, validate_rel, Invariant, ValidateOptions,
-    ValidationReport, Violation,
+    free_columns, plan_output_schema, validate_plan, validate_rel, ColumnRef, Invariant,
+    ValidateOptions, ValidationReport, Violation,
 };
 
 /// A materialized row of values: the unit of data exchanged between the

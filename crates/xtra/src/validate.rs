@@ -728,6 +728,120 @@ impl Walker<'_> {
     }
 }
 
+/// A column reference as written: optional qualifier and name.
+pub type ColumnRef = (Option<String>, String);
+
+/// The free (correlated) column references of `rel`: every column that `rel`
+/// or a subquery nested in it reads, but that resolves in none of the
+/// scopes `rel` introduces, so it must come from an enclosing query. The
+/// scope rules are the validator's: each operator's expressions see its
+/// input schema (a join condition sees both sides), and a subquery also
+/// sees the scopes around it. Each column is listed once, in first-seen
+/// order. An empty list means `rel` is self-contained: evaluating it twice
+/// gives the same rows, whatever the enclosing row.
+pub fn free_columns(rel: &RelExpr) -> Vec<ColumnRef> {
+    let mut walk = FreeColumns { scopes: Vec::new(), free: Vec::new() };
+    walk.rel(rel);
+    walk.free
+}
+
+struct FreeColumns {
+    /// Scopes introduced inside the analyzed relation, innermost last.
+    scopes: Vec<Schema>,
+    free: Vec<ColumnRef>,
+}
+
+impl FreeColumns {
+    fn rel(&mut self, rel: &RelExpr) {
+        match rel {
+            RelExpr::Get { .. } => {}
+            RelExpr::Values { rows, .. } => {
+                let empty = Schema::empty();
+                for e in rows.iter().flatten() {
+                    self.expr(e, &empty);
+                }
+            }
+            RelExpr::Select { input, predicate } => {
+                self.rel(input);
+                self.expr(predicate, &input.schema());
+            }
+            RelExpr::Project { input, exprs } => {
+                self.rel(input);
+                let scope = input.schema();
+                for (e, _) in exprs {
+                    self.expr(e, &scope);
+                }
+            }
+            RelExpr::Window { input, exprs } => {
+                self.rel(input);
+                let scope = input.schema();
+                for w in exprs {
+                    for e in w.arg.iter().chain(&w.partition_by) {
+                        self.expr(e, &scope);
+                    }
+                    for k in &w.order_by {
+                        self.expr(&k.expr, &scope);
+                    }
+                }
+            }
+            RelExpr::Join { left, right, condition, .. } => {
+                self.rel(left);
+                self.rel(right);
+                if let Some(c) = condition {
+                    self.expr(c, &left.schema().join(&right.schema()));
+                }
+            }
+            RelExpr::Aggregate { input, group_by, aggs, .. } => {
+                self.rel(input);
+                let scope = input.schema();
+                for (e, _) in group_by.iter().chain(aggs) {
+                    self.expr(e, &scope);
+                }
+            }
+            RelExpr::Sort { input, keys } => {
+                self.rel(input);
+                let scope = input.schema();
+                for k in keys {
+                    self.expr(&k.expr, &scope);
+                }
+            }
+            RelExpr::Distinct { input }
+            | RelExpr::Limit { input, .. }
+            | RelExpr::Alias { input, .. } => self.rel(input),
+            RelExpr::SetOp { left, right, .. } => {
+                self.rel(left);
+                self.rel(right);
+            }
+        }
+    }
+
+    /// Collect the free columns of `e`, evaluated against `scope`; nested
+    /// subqueries see `scope` as their innermost enclosing scope.
+    fn expr(&mut self, e: &ScalarExpr, scope: &Schema) {
+        e.visit_no_subquery(&mut |x| match x {
+            ScalarExpr::Column { qualifier, name, .. } => {
+                let q = qualifier.as_deref();
+                let bound = std::iter::once(scope)
+                    .chain(self.scopes.iter().rev())
+                    .any(|s| matches!(s.try_resolve(q, name), Ok(Some(_))));
+                let seen = self.free.iter().any(|(fq, fn_)| fq.as_deref() == q && fn_ == name);
+                if !bound && !seen {
+                    self.free.push((qualifier.clone(), name.clone()));
+                }
+            }
+            ScalarExpr::ScalarSubquery(sub)
+            | ScalarExpr::Exists { subquery: sub, .. }
+            | ScalarExpr::InSubquery { subquery: sub, .. }
+            | ScalarExpr::QuantifiedCmp { subquery: sub, .. } => {
+                self.scopes.push(scope.clone());
+                self.rel(sub);
+                self.scopes.pop();
+            }
+            _ => {}
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,5 +994,63 @@ mod tests {
         };
         let report = validate_plan(&plan, &ValidateOptions::default());
         assert!(report.is_clean(), "{report}");
+    }
+
+    fn eq(l: ScalarExpr, r: ScalarExpr) -> ScalarExpr {
+        ScalarExpr::cmp(CmpOp::Eq, l, r)
+    }
+
+    fn filtered(table: &str, col_name: &str, predicate: ScalarExpr) -> RelExpr {
+        RelExpr::Select {
+            input: Box::new(get(table, &[(col_name, SqlType::Integer)])),
+            predicate,
+        }
+    }
+
+    fn named(q: Option<&str>, n: &str) -> ColumnRef {
+        (q.map(str::to_string), n.to_string())
+    }
+
+    #[test]
+    fn free_columns_of_self_contained_relation_is_empty() {
+        let rel = filtered("H", "X", eq(col("H", "X", SqlType::Integer), ScalarExpr::int(1)));
+        assert!(free_columns(&rel).is_empty());
+    }
+
+    #[test]
+    fn free_columns_are_the_outer_references_listed_once() {
+        let a = || col("T", "A", SqlType::Integer);
+        let rel = filtered(
+            "H",
+            "X",
+            ScalarExpr::and(vec![
+                eq(col("H", "X", SqlType::Integer), a()),
+                ScalarExpr::cmp(CmpOp::Gt, col("H", "X", SqlType::Integer), a()),
+            ]),
+        );
+        assert_eq!(free_columns(&rel), vec![named(Some("T"), "A")]);
+    }
+
+    #[test]
+    fn nested_subquery_reading_the_middle_scope_is_not_free_in_the_middle() {
+        // Innermost reads H.X (the middle query) and T.A (the outermost).
+        let innermost = filtered(
+            "K",
+            "Z",
+            ScalarExpr::and(vec![
+                eq(col("K", "Z", SqlType::Integer), col("H", "X", SqlType::Integer)),
+                eq(col("K", "Z", SqlType::Integer), col("T", "A", SqlType::Integer)),
+            ]),
+        );
+        assert_eq!(
+            free_columns(&innermost),
+            vec![named(Some("H"), "X"), named(Some("T"), "A")]
+        );
+        let middle = filtered(
+            "H",
+            "X",
+            ScalarExpr::Exists { subquery: Box::new(innermost), negated: false },
+        );
+        assert_eq!(free_columns(&middle), vec![named(Some("T"), "A")]);
     }
 }

@@ -243,6 +243,30 @@ fn library_level_memory_budget_cancels_request() {
     assert_eq!(out.last().unwrap().result.rows[0][0], Datum::Int(400));
 }
 
+#[test]
+fn library_level_budget_admits_intermediates_whose_live_peak_fits() {
+    // Four nested derived tables over a 2,000-row table: every level
+    // materializes a filtered and a projected copy (~140 KiB each by the
+    // ledger's estimate), ~1.1 MiB in all. Each level's input is dropped
+    // once the next level has consumed it, so the live peak stays near two
+    // levels, well inside the 512 KiB budget. A ledger that kept every
+    // intermediate charged until the statement ended would cancel it.
+    let db = Arc::new(EngineDb::new());
+    db.execute_sql("CREATE TABLE T (N INTEGER)").unwrap();
+    let values: Vec<String> = (0..2000).map(|i| format!("({i})")).collect();
+    db.execute_sql(&format!("INSERT INTO T VALUES {}", values.join(", "))).unwrap();
+    let mut hq =
+        HyperQBuilder::for_target(Arc::clone(&db) as Arc<dyn Backend>, hyperq::core::targets::simwh())
+            .build();
+
+    let sql = "SEL COUNT(*) FROM (SEL N FROM (SEL N FROM (SEL N FROM \
+               (SEL N FROM T WHERE N >= 0) A WHERE N >= 1) B WHERE N >= 2) C WHERE N >= 3) D";
+    let out = hq
+        .run(Request::script(sql).memory_budget(512 * 1024))
+        .unwrap_or_else(|e| panic!("live peak fits the budget: {e}"));
+    assert_eq!(out.last().unwrap().result.rows[0][0], Datum::Int(1997));
+}
+
 const RECURSIVE_REPORTS: &str = "WITH RECURSIVE REPORTS (EMPNO, MGRNO) AS ( \
      SELECT EMPNO, MGRNO FROM EMP WHERE MGRNO = 10 \
      UNION ALL \

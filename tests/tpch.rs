@@ -1,6 +1,7 @@
 //! TPC-H through the full stack: Teradata-dialect queries via Hyper-Q,
 //! executed on the SimWH engine over generated data.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use hyperq::core::{Backend, HyperQBuilder};
@@ -10,12 +11,26 @@ use hyperq::workload::tpch;
 /// Tiny scale for test speed; the benchmark harness uses larger factors.
 const SCALE: f64 = 0.002;
 
+/// The Figure 9 scale and datagen seed (`repro_figure9a`, `tdwpbench`).
+const FIGURE9_SCALE: f64 = 0.01;
+const FIGURE9_SEED: u64 = 7777;
+
+/// Data the answer oracles check: the Figure 9 data, and a seed under
+/// which four parts qualify for Q17 with different averages (only one part
+/// does under 7777), so a correlated subquery answered for the wrong outer
+/// row changes the answer.
+const ORACLE_DATA: [(f64, u64); 2] = [(FIGURE9_SCALE, FIGURE9_SEED), (FIGURE9_SCALE, 25)];
+
 fn load() -> Arc<EngineDb> {
+    load_at(SCALE, 1234)
+}
+
+fn load_at(scale: f64, seed: u64) -> Arc<EngineDb> {
     let db = Arc::new(EngineDb::new());
     for ddl in tpch::ddl() {
         db.execute_sql(&ddl).unwrap();
     }
-    for (table, rows) in tpch::generate(SCALE, 1234).tables() {
+    for (table, rows) in tpch::generate(scale, seed).tables() {
         db.load_rows(table, rows).unwrap();
     }
     db
@@ -220,4 +235,266 @@ fn q1_matches_direct_rust_computation() {
         }
     }
     handle.shutdown();
+}
+
+#[test]
+fn all_22_queries_run_through_a_default_gateway_without_error() {
+    // The headline experiment under defaults: the gateway's default
+    // deadline and per-query memory budget must admit all of TPC-H at the
+    // Figure 9 scale.
+    let db = load_at(FIGURE9_SCALE, FIGURE9_SEED);
+    let handle = hyperq::wire::Gateway::spawn(
+        db as Arc<dyn Backend>,
+        hyperq::wire::GatewayConfig::default(),
+    )
+    .unwrap();
+    let mut client = hyperq::wire::Client::connect(handle.addr, "APP", "secret").unwrap();
+    let errors: Vec<String> = tpch::queries()
+        .into_iter()
+        .filter_map(|(n, sql)| client.run(sql).err().map(|e| format!("Q{n}: {e}")))
+        .collect();
+    client.logoff().unwrap();
+    handle.shutdown();
+    assert!(errors.is_empty(), "{errors:#?}");
+}
+
+// ---------------------------------------------------------------------------
+// Independent answer oracles: the subquery queries recomputed in plain Rust
+// from the generated rows, so an engine bug (a stale subquery answer, say)
+// cannot hide behind a comparison of the engine with itself.
+// ---------------------------------------------------------------------------
+
+mod oracle {
+    use std::collections::{HashMap, HashSet};
+
+    use hyperq::xtra::datum::{parse_date, Datum};
+    use hyperq::xtra::Row;
+
+    pub fn int(d: &Datum) -> i64 {
+        d.to_i64().unwrap_or_else(|| panic!("integer expected, got {d:?}"))
+    }
+
+    /// A decimal's mantissa at `scale`.
+    pub fn fixed(d: &Datum, scale: u8) -> i128 {
+        match d {
+            Datum::Dec(x) => x.rescale(scale).mantissa,
+            Datum::Int(v) => *v as i128 * 10i128.pow(scale as u32),
+            other => panic!("decimal expected, got {other:?}"),
+        }
+    }
+
+    pub fn text(d: &Datum) -> String {
+        d.to_sql_string().trim_end().to_string()
+    }
+
+    pub fn date(s: &str) -> i32 {
+        parse_date(s).unwrap()
+    }
+
+    /// Nation keys of the nations in `region`, with their names.
+    pub fn nations_in(region: &str, regions: &[Row], nations: &[Row]) -> HashMap<i64, String> {
+        let r = regions.iter().find(|r| text(&r[1]) == region).map(|r| int(&r[0])).unwrap();
+        nations
+            .iter()
+            .filter(|n| int(&n[2]) == r)
+            .map(|n| (int(&n[0]), text(&n[1])))
+            .collect()
+    }
+
+    /// Supplier keys located in one of `nations`.
+    pub fn suppliers_in(nations: &HashMap<i64, String>, suppliers: &[Row]) -> HashSet<i64> {
+        suppliers
+            .iter()
+            .filter(|s| nations.contains_key(&int(&s[3])))
+            .map(|s| int(&s[0]))
+            .collect()
+    }
+}
+
+/// Query `n`'s answer through Hyper-Q over freshly loaded data.
+fn answer(n: usize, scale: f64, seed: u64) -> Vec<hyperq::xtra::Row> {
+    let db = load_at(scale, seed);
+    let mut hq = HyperQBuilder::for_target(db as Arc<dyn Backend>, hyperq::core::targets::simwh())
+        .build();
+    hq.run_one(tpch::query(n)).unwrap_or_else(|e| panic!("Q{n}: {e}")).result.rows
+}
+
+#[test]
+fn q2_matches_direct_rust_computation() {
+    for (scale, seed) in ORACLE_DATA {
+        check_q2(scale, seed);
+    }
+}
+
+fn check_q2(scale: f64, seed: u64) {
+    use oracle::*;
+    let data = tpch::generate(scale, seed);
+    let europe = nations_in("EUROPE", &data.region, &data.nation);
+    let suppliers: HashMap<i64, &hyperq::xtra::Row> = data
+        .supplier
+        .iter()
+        .filter(|s| europe.contains_key(&int(&s[3])))
+        .map(|s| (int(&s[0]), s))
+        .collect();
+    let parts: HashMap<i64, &hyperq::xtra::Row> = data
+        .part
+        .iter()
+        .filter(|p| int(&p[5]) == 15 && text(&p[4]).ends_with("BRASS"))
+        .map(|p| (int(&p[0]), p))
+        .collect();
+    // The correlated subquery: the cheapest European supply cost per part.
+    let mut min_cost: HashMap<i64, i128> = HashMap::new();
+    for ps in data.partsupp.iter().filter(|ps| suppliers.contains_key(&int(&ps[1]))) {
+        let cost = min_cost.entry(int(&ps[0])).or_insert(i128::MAX);
+        *cost = (*cost).min(fixed(&ps[3], 2));
+    }
+    let mut expected: Vec<(i128, String, String, i64)> = data
+        .partsupp
+        .iter()
+        .filter(|ps| parts.contains_key(&int(&ps[0])))
+        .filter_map(|ps| {
+            let s = suppliers.get(&int(&ps[1]))?;
+            (min_cost[&int(&ps[0])] == fixed(&ps[3], 2)).then(|| {
+                (fixed(&s[5], 2), text(&s[1]), europe[&int(&s[3])].clone(), int(&ps[0]))
+            })
+        })
+        .collect();
+    expected.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| (&a.2, &a.1, a.3).cmp(&(&b.2, &b.1, b.3))));
+    expected.truncate(100);
+    assert!(!expected.is_empty(), "Q2 has no answer at SF {scale}, seed {seed}");
+
+    let got: Vec<(i128, String, String, i64)> = answer(2, scale, seed)
+        .iter()
+        .map(|r| (fixed(&r[0], 2), text(&r[1]), text(&r[2]), int(&r[3])))
+        .collect();
+    assert_eq!(got, expected, "SF {scale}, seed {seed}");
+}
+
+#[test]
+fn q11_matches_direct_rust_computation() {
+    for (scale, seed) in ORACLE_DATA {
+        check_q11(scale, seed);
+    }
+}
+
+fn check_q11(scale: f64, seed: u64) {
+    use oracle::*;
+    let data = tpch::generate(scale, seed);
+    let germany: HashMap<i64, String> = data
+        .nation
+        .iter()
+        .filter(|n| text(&n[1]) == "GERMANY")
+        .map(|n| (int(&n[0]), text(&n[1])))
+        .collect();
+    let suppliers = suppliers_in(&germany, &data.supplier);
+    let mut value: HashMap<i64, i128> = HashMap::new();
+    for ps in data.partsupp.iter().filter(|ps| suppliers.contains(&int(&ps[1]))) {
+        *value.entry(int(&ps[0])).or_default() += fixed(&ps[3], 2) * int(&ps[2]) as i128;
+    }
+    // The uncorrelated subquery: 0.01% of the total stock value.
+    let total: i128 = value.values().sum();
+    let mut expected: Vec<(i128, i64)> = value
+        .into_iter()
+        .filter(|&(_, v)| v * 10_000 > total)
+        .map(|(k, v)| (v, k))
+        .collect();
+    expected.sort_by(|a, b| b.cmp(a));
+    assert!(!expected.is_empty(), "Q11 has no answer at SF {scale}, seed {seed}");
+
+    let mut got: Vec<(i128, i64)> =
+        answer(11, scale, seed).iter().map(|r| (fixed(&r[1], 2), int(&r[0]))).collect();
+    // ORDER BY VALUE DESC leaves ties unordered.
+    got.sort_by(|a, b| b.cmp(a));
+    assert_eq!(got, expected, "SF {scale}, seed {seed}");
+}
+
+#[test]
+fn q15_matches_direct_rust_computation() {
+    for (scale, seed) in ORACLE_DATA {
+        check_q15(scale, seed);
+    }
+}
+
+fn check_q15(scale: f64, seed: u64) {
+    use hyperq::xtra::Datum;
+    use oracle::*;
+    let data = tpch::generate(scale, seed);
+    let (from, to) = (date("1996-01-01"), date("1996-04-01"));
+    let mut revenue: HashMap<i64, i128> = HashMap::new();
+    for l in &data.lineitem {
+        let Datum::Date(shipdate) = l[10] else { panic!("L_SHIPDATE {:?}", l[10]) };
+        if (from..to).contains(&shipdate) {
+            // price (scale 2) × (1 − discount) (scale 2) = scale 4
+            *revenue.entry(int(&l[2])).or_default() +=
+                fixed(&l[5], 2) * (100 - fixed(&l[6], 2));
+        }
+    }
+    // The uncorrelated subquery: the top revenue.
+    let top = revenue.values().copied().max().expect("Q15 has no revenue");
+    let mut expected: Vec<(i64, i128)> =
+        revenue.into_iter().filter(|&(_, r)| r == top).collect();
+    expected.sort();
+
+    assert!(!expected.is_empty(), "Q15 has no answer at SF {scale}, seed {seed}");
+    let got: Vec<(i64, i128)> =
+        answer(15, scale, seed).iter().map(|r| (int(&r[0]), fixed(&r[4], 4))).collect();
+    assert_eq!(got, expected, "SF {scale}, seed {seed}");
+}
+
+#[test]
+fn q17_matches_direct_rust_computation() {
+    let discriminating: Vec<bool> =
+        ORACLE_DATA.iter().map(|&(scale, seed)| check_q17(scale, seed)).collect();
+    assert!(
+        discriminating.contains(&true),
+        "no dataset makes Q17's answer depend on its correlation: {discriminating:?}"
+    );
+}
+
+/// Check Q17's answer. Returns whether the data makes the correlation
+/// matter: applying any one part's average to every part's line items
+/// would change the answer.
+fn check_q17(scale: f64, seed: u64) -> bool {
+    use oracle::*;
+    let data = tpch::generate(scale, seed);
+    let parts: HashSet<i64> = data
+        .part
+        .iter()
+        .filter(|p| text(&p[3]) == "Brand#23" && text(&p[6]) == "MED BOX")
+        .map(|p| int(&p[0]))
+        .collect();
+    let items: Vec<&hyperq::xtra::Row> =
+        data.lineitem.iter().filter(|l| parts.contains(&int(&l[1]))).collect();
+    // The correlated subquery: per part, the quantity sum and count.
+    let mut per_part: HashMap<i64, (i128, i128)> = HashMap::new();
+    for l in &items {
+        let e = per_part.entry(int(&l[1])).or_default();
+        e.0 += fixed(&l[4], 2);
+        e.1 += 1;
+    }
+    // Σ L_EXTENDEDPRICE over the items with L_QUANTITY < 0.2 × AVG, that
+    // is 5 × n × L_QUANTITY < Σ L_QUANTITY, taking (Σ, n) per item.
+    let revenue = |avg_of: &dyn Fn(&hyperq::xtra::Row) -> (i128, i128)| -> i128 {
+        items
+            .iter()
+            .filter(|l| {
+                let (sum, n) = avg_of(l);
+                5 * n * fixed(&l[4], 2) < sum
+            })
+            .map(|l| fixed(&l[5], 2))
+            .sum()
+    };
+    let total = revenue(&|l| per_part[&int(&l[1])]);
+    assert!(total > 0, "Q17 has no answer at SF {scale}, seed {seed}");
+    let expected = total as f64 / 100.0 / 7.0;
+    let discriminating = per_part.values().all(|&one| revenue(&|_| one) != total);
+
+    let got = answer(17, scale, seed);
+    assert_eq!(got.len(), 1);
+    let avg_yearly = got[0][0].to_f64().unwrap();
+    assert!(
+        (avg_yearly - expected).abs() < 0.005,
+        "AVG_YEARLY {avg_yearly} vs {expected} at SF {scale}, seed {seed}"
+    );
+    discriminating
 }
